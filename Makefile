@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test race race-solver race-shard lint-state bench-smoke bench-json fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos
+.PHONY: check vet build test race race-solver stress lint-state bench-smoke fuzz-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos
 
 ## check: the full pre-merge gate — vet, build, state lint, race-enabled
-## tests, bench smoke, chaos suite, crash-chaos suite, service-chaos suite,
-## failover-chaos suite, eco-chaos suite, fuzz smoke.
-check: vet build lint-state race-solver race-shard race bench-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos fuzz-smoke
+## tests, scheduler stress, bench smoke, chaos suite, crash-chaos suite,
+## service-chaos suite, failover-chaos suite, eco-chaos suite, fuzz smoke.
+check: vet build lint-state race-solver stress race bench-smoke chaos crash-chaos service-chaos failover-chaos eco-chaos fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -25,14 +25,14 @@ race:
 race-solver:
 	$(GO) test -race -count=1 ./internal/ilp/... ./internal/legal/... ./internal/crp/...
 
-## race-shard: race gate over the region-sharded iteration loop — the
-## speculative region pipelines, the worker-overlay fan-out, and the
-## journal-segmented merge are the concurrency added by the sharding PR
-## (see DESIGN.md, "Sharding architecture").
-race-shard:
-	$(GO) test -race -count=1 ./internal/shard/...
-	$(GO) test -race -count=1 -run 'TestSharded' ./internal/crp
-	$(GO) test -race -count=1 -run 'TestChaosShard|TestResumeBitIdentityEveryBoundarySharded' ./internal/flow
+## stress: repeated runs of the job-service and ECO suites under 1, 2 and
+## 4 scheduler threads — their goroutine interleavings (job state
+## publication, lease hand-off, cache eviction) vary with GOMAXPROCS, so an
+## ordering bug that one thread count hides shows up under another.
+stress:
+	GOMAXPROCS=1 $(GO) test -count=10 ./internal/service ./internal/eco
+	GOMAXPROCS=2 $(GO) test -count=10 ./internal/service ./internal/eco
+	GOMAXPROCS=4 $(GO) test -count=10 ./internal/service ./internal/eco
 
 ## bench-smoke: one-shot Fig. 3 breakdown — catches benchmark-harness rot
 ## without paying for a real measurement run.
@@ -50,13 +50,6 @@ lint-state:
 	else \
 		echo 'lint-state: ok'; \
 	fi
-
-## bench-json: regenerate the BENCH_*.json performance snapshot
-## (see EXPERIMENTS.md, "Performance architecture"). Override the target
-## with BENCH=..., e.g. `make bench-json BENCH=BENCH_9.json`.
-BENCH ?= BENCH_10.json
-bench-json:
-	$(GO) run ./cmd/benchreport -o $(BENCH)
 
 ## chaos: the fault-injection suite — every fault class must complete with
 ## degraded-mode stats and a legal design; zero faults must be bit-identical
@@ -109,7 +102,6 @@ fuzz-smoke:
 	$(GO) test ./internal/lefdef -fuzz 'FuzzDEFRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/checkpoint -fuzz 'FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/view -fuzz 'FuzzOverlayCommit$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
-	$(GO) test ./internal/view -fuzz 'FuzzShardMerge$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/ilp -fuzz 'FuzzILPSolve$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/service -fuzz 'FuzzSpecDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x
 	$(GO) test ./internal/service -fuzz 'FuzzLeaseRecord$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x

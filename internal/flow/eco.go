@@ -28,9 +28,9 @@ type ECOOptions struct {
 	// MinMoves is the per-round convergence threshold: a round whose last
 	// iteration moves fewer cells stops (0: 1, full convergence).
 	MinMoves int
-	// HaloGCells sizes the dirty region's halo in GCells (0: 4) — the same
-	// interaction-margin idea as crp.Config.ShardHalo, inverted to scope
-	// work instead of splitting it.
+	// HaloGCells sizes the dirty region's halo in GCells (0: 4): the margin
+	// around the edit within which re-labeled cells can still interact
+	// with it through legalizer windows and net bounding boxes.
 	HaloGCells int
 	// MaxRounds bounds the local re-label rounds per ladder rung before the
 	// next rung engages — widen halo, then full-run fallback (0: 3).

@@ -268,12 +268,8 @@ func (g *Grid) AddWire(x, y, l int, delta float64) {
 	i := g.idx(x, y)
 	g.epoch++
 	if g.journal != nil {
-		k := EdgeKey{L: int32(l), I: int32(i)}
-		g.journal.Wire[k] += delta
+		g.journal.Wire[EdgeKey{L: int32(l), I: int32(i)}] += delta
 		g.journal.Mutations++
-		if g.journal.recordOps {
-			g.journal.Ops = append(g.journal.Ops, JournalOp{Key: k, Delta: delta})
-		}
 	}
 	g.wire[l][i] += delta
 	if g.wire[l][i] < 0 {
@@ -296,12 +292,8 @@ func (g *Grid) AddVia(x, y, l int, delta float64) {
 	i := g.idx(x, y)
 	g.epoch++
 	if g.journal != nil {
-		k := EdgeKey{L: int32(l), I: int32(i)}
-		g.journal.Vias[k] += delta
+		g.journal.Vias[EdgeKey{L: int32(l), I: int32(i)}] += delta
 		g.journal.Mutations++
-		if g.journal.recordOps {
-			g.journal.Ops = append(g.journal.Ops, JournalOp{Key: k, Delta: delta, Via: true})
-		}
 	}
 	g.vias[l][i] += delta
 	if g.vias[l][i] < -1e-9 {

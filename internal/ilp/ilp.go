@@ -333,9 +333,9 @@ func (m *Model) components(disable bool, fs *fastScratch) []component {
 		return []component{all}
 	}
 	// The dense path (fs == nil) runs the preserved seed implementation —
-	// DisableSolverFastPath documents that contract, and benchreport's
-	// "before" column depends on it staying byte-faithful. The fast path
-	// gets the allocation-free arena partition below.
+	// DisableSolverFastPath documents that contract, and the differential
+	// referees depend on it staying byte-faithful. The fast path gets the
+	// allocation-free arena partition below.
 	if fs == nil {
 		return m.componentsSeed()
 	}

@@ -12,12 +12,12 @@ import (
 // This file preserves the pre-fast-path legalizer verbatim (per-slot
 // db.CheckLegal, per-call db.FreeSitesIn, per-slot db.NetMedianOf, dense-
 // tableau relocation solves). Cfg.DisableSolverFastPath routes Run through
-// it, giving the differential parity tests and the benchreport "before"
-// column a genuinely independent implementation rather than the fast path
-// with a different solver backend. The one deliberate difference from the
-// seed is the sorted site-cap emission — the old map-ordered emission made
-// the relocation model's constraint order random, which was a latent
-// nondeterminism bug, not behaviour worth preserving.
+// it, giving the differential parity tests a genuinely independent
+// implementation rather than the fast path with a different solver
+// backend. The one deliberate difference from the seed is the sorted
+// site-cap emission — the old map-ordered emission made the relocation
+// model's constraint order random, which was a latent nondeterminism bug,
+// not behaviour worth preserving.
 
 // runLegacy is the seed implementation of Run.
 func (l *Legalizer) runLegacy(c *db.Cell) []Candidate {

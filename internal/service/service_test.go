@@ -527,6 +527,26 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// retiredShardSpec is sp's JSON plus the retired "shard_regions" field, as
+// daemons that still offered region-sharded iterations accepted and stored
+// it. Decoding ignores the field, so such a spec must run exactly as sp.
+func retiredShardSpec(t *testing.T, sp Spec) []byte {
+	t.Helper()
+	data, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["shard_regions"] = 16
+	if data, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestDrainRestartRecovery is the daemon-restart story: drain checkpoints
 // the in-flight job and persists the queue; a fresh daemon on the same data
 // directory resumes everything to completion, byte-identical.
@@ -551,6 +571,22 @@ func TestDrainRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A spec carrying the retired shard_regions field is still admitted.
+	spRetired := synthSpec(65, 1)
+	srv := httptest.NewServer(svc1.Handler())
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(retiredShardSpec(t, spRetired)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit with retired shard_regions: status %d, want 202", resp.StatusCode)
+	}
+	var retired Status
+	if err := json.NewDecoder(resp.Body).Decode(&retired); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	srv.Close()
 
 	drained := make(chan error, 1)
 	go func() {
@@ -580,9 +616,15 @@ func TestDrainRestartRecovery(t *testing.T) {
 		t.Fatalf("drained job has no checkpoint manifest: %v", err)
 	}
 
-	// Second daemon, same data directory: both jobs complete.
+	// A job persisted before the field was retired keeps it in spec.json;
+	// recovery must still run it to the outputs of the spec without it.
+	if err := os.WriteFile(filepath.Join(dataDir, retired.ID, "spec.json"), retiredShardSpec(t, spRetired), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	// Second daemon, same data directory: every job completes.
 	svc2 := newService(t, Config{DataDir: dataDir, Workers: 2})
-	for id, sp := range map[string]Spec{run.ID: spRun, qd.ID: spQueued} {
+	for id, sp := range map[string]Spec{run.ID: spRun, qd.ID: spQueued, retired.ID: spRetired} {
 		fin := waitStatus(t, svc2, id, func(s Status) bool { return s.State.terminal() })
 		if fin.State != StateDone {
 			t.Fatalf("recovered job %s ended %s (%s)", id, fin.State, fin.Error)
@@ -598,8 +640,8 @@ func TestDrainRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.ID != "j000003" {
-		t.Errorf("post-recovery ID = %s, want j000003", st3.ID)
+	if st3.ID != "j000004" {
+		t.Errorf("post-recovery ID = %s, want j000004", st3.ID)
 	}
 	if fmt.Sprint(svc2.Stats().Draining) != "false" {
 		t.Error("recovered daemon reports draining")

@@ -360,12 +360,15 @@ func (st *store) persistSubmit(j *Job) error {
 }
 
 // persistState atomically rewrites the job's control-plane record.
-func (st *store) persistState(j *Job) error {
-	rec, err := json.Marshal(j.record())
+func (st *store) persistState(j *Job) error { return writeRecord(j.Dir, j.record()) }
+
+// writeRecord atomically writes rec as the job directory's state record.
+func writeRecord(dir string, rec jobRecord) error {
+	data, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	return atomicio.WriteFileBytes(filepath.Join(j.Dir, "state.json"), rec)
+	return atomicio.WriteFileBytes(filepath.Join(dir, "state.json"), data)
 }
 
 // activeLocked counts a tenant's non-terminal jobs.
@@ -448,6 +451,9 @@ func (st *store) next() *Job {
 // original admission order, so preemption cannot be used to jump the line.
 // The lease is released only after the state record is durably persisted,
 // so no other node can claim the job while its record is mid-transition.
+// A terminal state is published in memory last, after the record, the lease
+// release and the cache bounds have all settled: a waiter that observes the
+// job finished can rely on every effect of finishing it.
 // On a halted node release is a no-op: a dead process performs no
 // transitions and its leases expire on their own.
 func (st *store) release(j *Job, next State, errMsg string) {
@@ -460,13 +466,15 @@ func (st *store) release(j *Job, next State, errMsg string) {
 	j.mu.Lock()
 	token := j.leaseToken
 	j.leaseToken = 0
-	j.state = next
 	j.errMsg = errMsg
 	j.preempt = nil
 	j.preemptReason = ""
 	j.hardCancel = nil
 	j.workerPID = 0
 	if next == StateQueued {
+		// A requeued job is claimable at once; a terminal state is
+		// published below, once its effects have settled.
+		j.state = next
 		j.preemptions++
 	}
 	j.mu.Unlock()
@@ -475,9 +483,15 @@ func (st *store) release(j *Job, next State, errMsg string) {
 		sort.Slice(st.queue, func(a, b int) bool { return st.queue[a].Seq < st.queue[b].Seq })
 	}
 	st.mu.Unlock()
-	if err := st.persistState(j); err != nil {
-		// The in-memory transition already happened; a persist failure
-		// costs recovery fidelity after a crash, not current correctness.
+	rec := j.record()
+	if next != StateQueued {
+		// Not yet published in memory (see below). A requeued job is
+		// recorded as it is now: a worker may already have claimed it.
+		rec.State = next
+	}
+	if err := writeRecord(j.Dir, rec); err != nil {
+		// A persist failure costs recovery fidelity after a crash, not
+		// current correctness: the in-memory transition still completes.
 		appendEvent(j.Dir, Event{Kind: "degradation", Stage: "service",
 			Fault: "state-persist-failed", Detail: err.Error()})
 	}
@@ -488,6 +502,11 @@ func (st *store) release(j *Job, next State, errMsg string) {
 		// The finished attempt may have populated the cache; re-apply the
 		// LRU bounds so the cache never outgrows its budget for long.
 		st.enforceCacheBounds()
+	}
+	if next != StateQueued {
+		j.mu.Lock()
+		j.state = next
+		j.mu.Unlock()
 	}
 	st.cond.Broadcast()
 	j.hub.notify()

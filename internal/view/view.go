@@ -94,8 +94,8 @@ func (v *View) Version() uint64 { return v.g.Epoch() }
 func (v *View) Overlay() *Overlay { return &Overlay{v: v} }
 
 // Overlays forks n independent overlays over this view — the per-worker
-// set the engine hands its estimation fan-out and a sharded iteration hands
-// its region pipelines. Distinct overlays are safe to use concurrently.
+// set the engine hands its estimation fan-out. Distinct overlays are safe
+// to use concurrently.
 func (v *View) Overlays(n int) []*Overlay {
 	out := make([]*Overlay, n)
 	for i := range out {

@@ -331,3 +331,37 @@ func FuzzOverlayCommit(f *testing.F) {
 		}
 	})
 }
+
+// TestOverlays pins the worker-overlay fan-out helper: n independent
+// overlays over the same base, each seeing its own staged positions only.
+func TestOverlays(t *testing.T) {
+	v := buildView(t, fixtureSpec())
+	d := v.Design()
+	ovs := v.Overlays(3)
+	if len(ovs) != 3 {
+		t.Fatalf("Overlays(3) returned %d overlays", len(ovs))
+	}
+	var mover int32 = -1
+	for _, c := range d.Cells {
+		if !c.Fixed {
+			mover = c.ID
+			break
+		}
+	}
+	if mover < 0 {
+		t.Fatal("fixture has no movable cell")
+	}
+	base := ovs[1].Pos(mover)
+	staged := base.Add(geom.Point{X: 1})
+	ovs[0].Stage(mover, staged)
+	if got := ovs[0].Pos(mover); got != staged {
+		t.Errorf("staging overlay reads %v, staged %v", got, staged)
+	}
+	if got := ovs[1].Pos(mover); got != base {
+		t.Errorf("sibling overlay reads %v, want base %v — overlays are not independent", got, base)
+	}
+	ovs[0].Discard()
+	if got := ovs[0].Pos(mover); got != base {
+		t.Errorf("after Discard overlay reads %v, want base %v", got, base)
+	}
+}
